@@ -23,21 +23,8 @@ Benchmarks
   peers-scoped markers) at 512 ranks on the 16-rack hierarchical
   machine: the large-topology path (per-rack link costs, multi-server
   storage plane, per-server staggering rings) under load;
-* ``scale_1024``       — the same round at 1024 ranks: the regime the
-  batched backend exists for (bigger timestamp cohorts, longer storms);
-* ``storm_batch``      — homogeneous timeout storms inserted through
-  ``Engine.timeout_batch`` (the vectorised grouped-insert path; waves
-  land on a handful of shared timestamps, so the batched calendar
-  drains whole cohorts per dispatch step).
-
-Backends: ``--backend {reference,twotier,batched}`` runs the whole
-suite under one kernel backend (it sets ``REPRO_KERNEL_BACKEND`` for
-every engine the benches build). Per-backend baselines live in the
-``backends`` section of BENCH_kernel.json — record one with
-``--backend X --update-backend-baseline`` and gate against it with
-``--backend X --check BENCH_kernel.json`` (each backend is compared
-against its *own* committed numbers; the legacy ``after`` section
-gates runs with no backend recorded).
+* ``scale_1024``       — the same round at 1024 ranks (bigger
+  timestamp cohorts, longer storms).
 
 Timing harness: stdlib only — ``time.perf_counter`` around whole
 simulation runs, median of ``--repeats`` fresh runs.  Every sample is
@@ -63,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import statistics
 import sys
@@ -74,7 +60,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.apps import SOR
 from repro.chklib import CheckpointRuntime, CoordinatedScheme, IndependentScheme
 from repro.core.engine import Engine
-from repro.core.kernel import BACKEND_ENV, DEFAULT_BACKEND, available_backends
 from repro.core.events import Event
 from repro.machine import MachineParams
 from repro.machine.cluster import Cluster
@@ -126,29 +111,6 @@ def bench_timeout_storm(scale: float = 1.0) -> int:
         eng.process(ticker(i))
     eng.run()
     return n_procs * per
-
-
-def bench_storm_batch(scale: float = 1.0) -> int:
-    """Homogeneous timeout storms via the vectorised grouped insert.
-
-    Waves of 512 timeouts drawn from 8 distinct delays: each wave lands
-    on 8 shared timestamps, so a cohort-draining backend pops 64 events
-    per queue operation instead of one.
-    """
-    n = 512
-    waves = max(5, int(150 * scale))
-    eng = Engine()
-    delays = [0.001 + (i % 8) * 0.00025 for i in range(n)]
-    last = delays.index(max(delays))
-
-    def driver():
-        for _ in range(waves):
-            evs = eng.timeout_batch(delays)
-            yield evs[last]  # the rest of the wave fires unobserved
-
-    eng.process(driver())
-    eng.run()
-    return n * waves
 
 
 def bench_ping_pong(scale: float = 1.0) -> int:
@@ -257,7 +219,7 @@ def bench_scale_512(scale: float = 1.0) -> int:
 
 
 def bench_scale_1024(scale: float = 1.0) -> int:
-    """The same round at 1024 ranks — the batched backend's regime."""
+    """The same round at 1024 ranks on the 32-rack machine."""
     return _bench_scale(1024, scale)
 
 
@@ -282,7 +244,6 @@ BENCHES: Dict[str, Callable[[float], int]] = {
     "calibration": bench_calibration,
     "event_churn": bench_event_churn,
     "timeout_storm": bench_timeout_storm,
-    "storm_batch": bench_storm_batch,
     "ping_pong": bench_ping_pong,
     "coord_nbm_round": bench_coord_nbm_round,
     "indep_run": bench_indep_run,
@@ -344,8 +305,6 @@ def run_all(scale: float, repeats: int, only: Optional[List[str]] = None) -> dic
     return {
         "python": platform.python_version(),
         "scale": scale,
-        "backend": os.environ.get(BACKEND_ENV, "").strip().lower()
-        or DEFAULT_BACKEND,
         "benchmarks": results,
     }
 
@@ -390,37 +349,11 @@ def update_baseline(path: Path, stage: str, run: dict) -> None:
     print(f"[bench] baseline {stage!r} written to {path}", file=sys.stderr)
 
 
-def update_backend_baseline(path: Path, run: dict) -> None:
-    """Record *run* as the committed baseline for its kernel backend."""
-    base = load_baseline(path)
-    base["version"] = 1
-    base.setdefault("backends", {})[run["backend"]] = run
-    with open(path, "w") as fh:
-        json.dump(base, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(
-        f"[bench] backend baseline {run['backend']!r} written to {path}",
-        file=sys.stderr,
-    )
-
-
 def check_against_baseline(path: Path, run: dict, tolerance: float) -> int:
     """CI gate: compare this run's *normalised* medians against the
-    committed baseline; fail on >(tolerance-1) regression.
-
-    A run made under ``--backend X`` gates against the ``backends.X``
-    section when one is committed (each backend defends its own
-    numbers); otherwise the legacy ``after`` section is the yardstick.
+    committed ``after`` baseline; fail on >(tolerance-1) regression.
     """
-    base = load_baseline(path)
-    section = base.get("backends", {}).get(run.get("backend"))
-    if section is None:
-        section = base.get("after", {})
-    else:
-        print(
-            f"[bench] gating against backend baseline {run['backend']!r}",
-            file=sys.stderr,
-        )
+    section = load_baseline(path).get("after", {})
     committed = section.get("benchmarks")
     if not committed:
         print(f"[bench] no baseline in {path}; nothing to gate", file=sys.stderr)
@@ -430,10 +363,7 @@ def check_against_baseline(path: Path, run: dict, tolerance: float) -> int:
     for name, row in run["benchmarks"].items():
         if name == "calibration":
             continue
-        if not scale_matches and name not in HEADLINE + (
-            "ping_pong",
-            "storm_batch",
-        ):
+        if not scale_matches and name not in HEADLINE + ("ping_pong",):
             # the macro benches (full checkpointed runs) carry fixed
             # setup costs, so their per-op cost is only comparable at
             # the baseline's own scale
@@ -472,13 +402,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quick", action="store_true", help="~10x fewer ops")
     parser.add_argument("--json", metavar="PATH", default=None)
     parser.add_argument(
-        "--backend",
-        choices=list(available_backends()),
-        default=None,
-        help="run the whole suite under one kernel backend "
-        f"(sets {BACKEND_ENV})",
-    )
-    parser.add_argument(
         "--only", nargs="*", default=None, choices=list(BENCHES), metavar="NAME"
     )
     parser.add_argument(
@@ -486,11 +409,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=["before", "after"],
         default=None,
         help="merge this run into the committed baseline file",
-    )
-    parser.add_argument(
-        "--update-backend-baseline",
-        action="store_true",
-        help="record this run as the committed baseline for its backend",
     )
     parser.add_argument("--baseline", metavar="PATH", default=str(BASELINE_PATH))
     parser.add_argument(
@@ -502,8 +420,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--tolerance", type=float, default=TOLERANCE)
     args = parser.parse_args(argv)
 
-    if args.backend:
-        os.environ[BACKEND_ENV] = args.backend
     scale = 0.1 if args.quick else 1.0
     run = run_all(scale, args.repeats, only=args.only)
 
@@ -512,8 +428,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             json.dump(run, fh, indent=2, sort_keys=True)
     if args.update_baseline:
         update_baseline(Path(args.baseline), args.update_baseline, run)
-    if args.update_backend_baseline:
-        update_backend_baseline(Path(args.baseline), run)
     if args.check:
         return check_against_baseline(Path(args.check), run, args.tolerance)
     return 0

@@ -5,7 +5,7 @@ specialised for deterministic reproduction runs: strict ``(time, priority,
 sequence)`` ordering, FIFO resources and named random substreams.
 """
 
-from .engine import LOW, NORMAL, URGENT, Engine, ReferenceEngine, TwoTierEngine
+from .engine import LOW, NORMAL, URGENT, Engine
 from .errors import (
     Deadlock,
     EventAlreadyTriggered,
@@ -15,13 +15,6 @@ from .errors import (
     StopProcess,
 )
 from .events import AllOf, AnyOf, Event, Timeout
-from .kernel import (
-    BACKEND_ENV,
-    DEFAULT_BACKEND,
-    available_backends,
-    backend_class,
-    resolve_backend,
-)
 from .process import Process
 from .resources import Request, Resource, Store, StoreGet
 from .rng import RngStreams, derive_seed
@@ -29,13 +22,6 @@ from .tracing import NullTracer, Span, Tracer, make_tracer
 
 __all__ = [
     "Engine",
-    "ReferenceEngine",
-    "TwoTierEngine",
-    "BACKEND_ENV",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "backend_class",
-    "resolve_backend",
     "URGENT",
     "NORMAL",
     "LOW",

@@ -128,8 +128,8 @@ class InvariantViolation(SimulationError):
 
     Used instead of bare ``assert`` for runtime validation in simulation
     code: unlike ``assert``, these checks survive ``python -O`` and carry a
-    structured description of what was violated. The sim-hygiene lint
-    (:mod:`repro.verify.lint`) forbids bare non-``isinstance`` asserts in
+    structured description of what was violated. The analyzer's hygiene
+    pass (``python -m repro.verify analyze``) forbids bare non-``isinstance`` asserts in
     :mod:`repro` precisely so correctness checks end up here.
     """
 

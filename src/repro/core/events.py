@@ -101,14 +101,10 @@ class Event:
         self._value = value
         engine = self.engine
         engine._seq = seq = engine._seq + 1
-        if priority == 1 and engine._fast_lane:
+        if priority == 1:
             engine._lane.append((engine._now, seq, self))
         else:
-            heap = engine._heap
-            if heap is not None:
-                heappush(heap, (engine._now, priority, seq, self))
-            else:  # backends without a heap (e.g. batched) take the hook
-                engine._push(engine._now, priority, seq, self)
+            heappush(engine._heap, (engine._now, priority, seq, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = 1) -> "Event":
@@ -121,14 +117,10 @@ class Event:
         self._value = exception
         engine = self.engine
         engine._seq = seq = engine._seq + 1
-        if priority == 1 and engine._fast_lane:
+        if priority == 1:
             engine._lane.append((engine._now, seq, self))
         else:
-            heap = engine._heap
-            if heap is not None:
-                heappush(heap, (engine._now, priority, seq, self))
-            else:  # backends without a heap (e.g. batched) take the hook
-                engine._push(engine._now, priority, seq, self)
+            heappush(engine._heap, (engine._now, priority, seq, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -177,14 +169,10 @@ class Timeout(Event):
         if delay < 0:
             raise NegativeDelay(delay)
         engine._seq = seq = engine._seq + 1
-        if delay == 0.0 and engine._fast_lane:
+        if delay == 0.0:
             engine._lane.append((engine._now, seq, self))
         else:
-            heap = engine._heap
-            if heap is not None:
-                heappush(heap, (engine._now + delay, 1, seq, self))
-            else:  # backends without a heap (e.g. batched) take the hook
-                engine._push(engine._now + delay, 1, seq, self)
+            heappush(engine._heap, (engine._now + delay, 1, seq, self))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Timeout delay={self.delay!r}>"

@@ -1,4 +1,4 @@
-"""Four-layer verification subsystem for the reproduction.
+"""Three-layer verification subsystem for the reproduction.
 
 1. **Model checking** (:mod:`.model`, :mod:`.explorer`) — exhaustive
    explicit-state exploration of abstracted protocol state machines: the
@@ -11,28 +11,25 @@
    simulator records (FIFO delivery, 2PC commit rules, staggered-write
    mutual exclusion, GC line safety, recovery-line soundness). Runnable
    post-hoc on any run via ``--verify`` on the experiment runner.
-3. **Sim-hygiene lint** (:mod:`.lint`) — an AST pass over ``src/repro``
-   that forbids wall-clock and unseeded-randomness leaks into simulation
-   code, bare ``assert`` for runtime validation, and engine primitives
-   called without ``yield``.
-4. **Whole-program static analysis** (:mod:`.analyze`) — multi-pass
+3. **Whole-program static analysis** (:mod:`.analyze`) — multi-pass
    analysis over one shared front-end (per-module ASTs, project symbol
-   table, generator classification): yield-discipline dataflow,
+   table, generator classification): the sim-hygiene rules (no
+   wall-clock or unseeded-randomness leaks, no bare runtime ``assert``,
+   no engine primitive called without ``yield``), yield-discipline dataflow,
    cleanup-mutation detection (the PR 5 ``_quiesced`` bug class),
    resume-capture completeness against the classes' RESUME_FIELDS
    manifests, trace-event conformance against ``EVENT_KINDS``, and
    nondeterminism taint tracking — gated by the committed
    ``ANALYZE_BASELINE.json`` in both directions.
 
-CLI: ``python -m repro.verify [lint|model|smoke|trace|analyze|all]``;
-each layer has a distinct failure exit code (lint=2, model=3, trace=4,
+CLI: ``python -m repro.verify [model|smoke|trace|analyze|all]``;
+each layer has a distinct failure exit code (model=3, trace=4,
 analyze=5).
 """
 
 from .analyze import AnalysisReport, Baseline, Finding, analyze
 from .explorer import ExplorationResult, Violation, explore
 from .invariants import RunMeta, TraceViolation, default_checkers
-from .lint import LintIssue, lint_paths, lint_source
 from .model import (
     CicIndexModel,
     ModelBugs,
@@ -61,9 +58,6 @@ __all__ = [
     "RunMeta",
     "TraceViolation",
     "default_checkers",
-    "LintIssue",
-    "lint_paths",
-    "lint_source",
     "CicIndexModel",
     "ModelBugs",
     "SenderLogModel",

@@ -2,16 +2,16 @@
 
 Usage::
 
-    python -m repro.verify            # everything (lint + model + smoke + analyze)
-    python -m repro.verify lint       # sim-hygiene AST lint over src/repro
+    python -m repro.verify            # everything (model + smoke + analyze)
     python -m repro.verify model      # exhaustive small-N model checking
     python -m repro.verify smoke      # traced scheme runs + invariant audit
     python -m repro.verify trace      # alias for smoke (the trace layer)
-    python -m repro.verify analyze    # whole-program static analysis
+    python -m repro.verify analyze    # whole-program static analysis,
+                                      # sim-hygiene rules included
 
 Each layer prints a one-line ``[verify] <layer>: PASS|FAIL`` summary to
 stderr and the exit status identifies the (first) failing layer without
-scrollback: lint=2, model=3, trace/smoke=4, analyze=5. A standalone
+scrollback: model=3, trace/smoke=4, analyze=5. A standalone
 ``analyze`` additionally distinguishes stale baseline suppressions
 (exit 6) from new findings (exit 5).
 
@@ -33,14 +33,13 @@ from typing import List, Optional
 from ..chklib.schemes.registry import REGISTRY
 from .analyze import Baseline, analyze, default_baseline_path
 from .explorer import explore
-from .lint import lint_paths
 from .smoke import run_smoke
 
 __all__ = ["main", "LAYER_CODES"]
 
 #: exit code identifying each failing layer (trace is the smoke layer's
 #: proper name — both spellings gate the same audit).
-LAYER_CODES = {"lint": 2, "model": 3, "smoke": 4, "trace": 4, "analyze": 5}
+LAYER_CODES = {"model": 3, "smoke": 4, "trace": 4, "analyze": 5}
 
 #: standalone ``analyze`` exit for a baseline that only has stale entries.
 STALE_BASELINE_CODE = 6
@@ -48,15 +47,6 @@ STALE_BASELINE_CODE = 6
 
 def _summary(layer: str, ok: bool) -> None:
     print(f"[verify] {layer}: {'PASS' if ok else 'FAIL'}", file=sys.stderr)
-
-
-def _run_lint(verbose: bool) -> int:
-    issues = lint_paths()
-    for issue in issues:
-        print(f"{issue.path}:{issue.line}:{issue.col}: [{issue.rule}] {issue.message}")
-    print(f"[verify:lint] {len(issues)} issue(s)")
-    _summary("lint", not issues)
-    return LAYER_CODES["lint"] if issues else 0
 
 
 def _run_model(ranks: List[int], verbose: bool) -> int:
@@ -125,7 +115,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "layer",
         nargs="?",
         default="all",
-        choices=["lint", "model", "smoke", "trace", "analyze", "all"],
+        choices=["model", "smoke", "trace", "analyze", "all"],
     )
     parser.add_argument(
         "--ranks",
@@ -160,12 +150,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # the first failing layer determines the exit code (lint=2, model=3,
-    # trace=4, analyze=5) so CI logs identify the layer at a glance.
+    # the first failing layer determines the exit code (model=3, trace=4,
+    # analyze=5) so CI logs identify the layer at a glance.
     status = 0
-    if args.layer in ("lint", "all"):
-        code = _run_lint(args.verbose)
-        status = status or code
     if args.layer in ("model", "all"):
         code = _run_model(args.ranks, args.verbose)
         status = status or code

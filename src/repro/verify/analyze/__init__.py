@@ -1,14 +1,14 @@
 """Whole-program static analysis for the simulation's contracts.
 
-The fourth verification layer. Where the hygiene lint polices single
-expressions, this package builds one :class:`~.frontend.Project` — every
+The third verification layer. It builds one :class:`~.frontend.Project` — every
 module parsed once, indexed once — and runs multi-module passes over it:
 
 ==============================  ==============================================
 pass                            what it proves
 ==============================  ==============================================
-``hygiene``                     the legacy lint rules (wall clock, global
-                                RNG, bare asserts, unyielded primitives)
+``hygiene``                     the per-expression sim-hygiene rules (wall
+                                clock, global RNG, bare asserts, unyielded
+                                primitives)
 ``yield-discipline``            no generator is created and silently dropped
                                 (dataflow: bound-but-never-driven, plain
                                 calls of project coroutines)
@@ -25,6 +25,9 @@ pass                            what it proves
 ``nondet-taint``                no order-unstable value (set iteration,
                                 ``id``/``hash``, ``os.environ``) reaches a
                                 trace event, RNG seed, or report output
+``kernel-purity``               ``repro/core/`` imports no upper layer and
+                                reads no wall clock or global RNG, with no
+                                pragma waiver
 ==============================  ==============================================
 
 Findings are gated against the committed ``ANALYZE_BASELINE.json`` at the

@@ -1,6 +1,6 @@
 """Shared static-analysis front-end: one AST walk per module.
 
-Every analysis pass (and the hygiene lint that predates them) consumes the
+Every analysis pass consumes the
 same pre-digested view of the tree, built here in a single recursive walk
 per module:
 
@@ -23,8 +23,8 @@ per module:
 
 Waivers: a finding on line *L* is suppressed when line *L* carries a
 ``# verify: allow`` comment, optionally naming rules
-(``# verify: allow[cleanup-mutation]``) — the same pragma the hygiene lint
-has always honoured, shared by every pass.
+(``# verify: allow[cleanup-mutation]``) — one pragma, shared by every pass
+(``kernel-purity`` alone ignores it).
 """
 
 from __future__ import annotations

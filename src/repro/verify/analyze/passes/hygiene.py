@@ -1,17 +1,40 @@
-"""Hygiene pass: the sim-determinism lint rules, on the shared front-end.
+"""Hygiene pass: per-expression checks against nondeterminism leaks.
 
-These are the rules the original single-file ``lint.py`` visitor applied
-— wall-clock reads, global-RNG use, bare asserts, generator primitives
-called as bare statements — migrated onto the one-walk :class:`Module`
-index so they share parsing with every other pass, plus the broadened
-nondeterminism set (``os.urandom``, ``uuid.*``, ``time.strftime`` of the
-current time, ``random.Random()`` without an explicit seed).
+The simulation's headline property is determinism — same seed, same run,
+bit for bit. That dies quietly the moment simulation code reads the wall
+clock, pulls from a global RNG, or validates correctness with a statement
+``python -O`` deletes. This pass rejects:
 
-Finding order and message text are byte-compatible with the legacy
-visitor: candidates are emitted per node in the original check order and
-stable-sorted by position, with same-position ties broken the way a
-pre-order AST visit would have flagged them (imports, then the statement
-wrapping a call, then the call itself).
+``wall-clock``
+    ``time.time()``, ``time.perf_counter()``, ``time.monotonic()``,
+    ``datetime.now()``/``utcnow()``, ``date.today()``,
+    ``time.strftime()`` of the current time — simulated code must read
+    :attr:`Engine.now`.
+``nondeterminism``
+    the global ``random`` module and NumPy's global RNG
+    (``np.random.*``), plus ``os.urandom``, ``uuid.*``, and
+    ``random.Random()`` without an explicit seed — streams must come
+    from :class:`repro.core.rng.RngStreams`, which is seeded per run.
+``bare-assert``
+    ``assert`` used for runtime validation — stripped under ``python -O``;
+    correctness checks must raise
+    :class:`~repro.core.errors.InvariantViolation` (or another typed
+    exception). ``assert isinstance(...)`` is tolerated as the standard
+    type-narrowing idiom.
+``unyielded-primitive``
+    an engine primitive called as a bare expression statement —
+    ``ctx.compute(n)`` instead of ``yield from ctx.compute(n)`` returns a
+    generator that never runs; the simulation silently skips the work.
+``syntax``
+    a module that does not parse (reported, never a crash).
+
+A finding can be waived for one line with a trailing ``# verify: allow``
+comment (optionally naming the rule: ``# verify: allow[wall-clock]``) —
+e.g. the experiment runner legitimately reports wall-clock duration.
+
+Candidates are emitted per node and stable-sorted by position, with
+same-position ties broken the way a pre-order AST visit would flag them
+(imports, then the statement wrapping a call, then the call itself).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Nondeterminism taint: order-unstable values reaching observable sinks.
 
-The hygiene lint bans the obvious entropy sources (wall clock, global
+The hygiene pass bans the obvious entropy sources (wall clock, global
 RNG). The subtler determinism killers are *order-unstable* values —
 ``set``/``frozenset`` iteration order, ``id()``, ``hash()`` of objects,
 ``os.environ`` — which are perfectly legal right up until they flow into

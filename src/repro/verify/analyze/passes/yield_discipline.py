@@ -3,7 +3,7 @@
 The kernel's simulation primitives (``ctx.compute``, ``node.send``, …)
 and every project coroutine built on them return *generators* — inert
 until driven by ``yield from`` (or spawned as a process). The hygiene
-lint catches the bare-statement form for the fixed primitive set; this
+pass catches the bare-statement form for the fixed primitive set; this
 pass upgrades the check with whole-program knowledge and dataflow:
 
 ``undriven-generator``

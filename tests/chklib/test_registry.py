@@ -1,4 +1,4 @@
-"""Unit tests for the protocol registry (DESIGN.md §13).
+"""Unit tests for the protocol registry (DESIGN.md §12).
 
 The registry is the single source of truth for scheme families: alias
 resolution, option schemas, the verify hooks (abstract machines, trace

@@ -17,6 +17,11 @@ recovery record, the final simulated clock) and ``C.result == A.result``.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -185,6 +190,59 @@ def test_halt_must_be_in_the_future():
     )
     with pytest.raises(ResumeError, match="future"):
         rt.run(halt_at=-1.0)
+
+
+_SIGKILL_CHILD = textwrap.dedent(
+    """
+    import os, signal, sys
+    from repro.apps import SOR
+    from repro.chklib import CheckpointRuntime, CoordinatedScheme
+    from repro.machine import MachineParams
+
+    T, halt, path = float(sys.argv[1]), float(sys.argv[2]), sys.argv[3]
+    app = SOR(n=30, iters=10, flops_per_cell=2400.0)
+    app.image_bytes = 64 * 1024
+    rt = CheckpointRuntime(
+        app,
+        scheme=CoordinatedScheme.NB((T / 4, T / 2, 3 * T / 4)),
+        machine=MachineParams(n_nodes=4),
+        seed=7,
+    )
+    rt.run(halt_at=halt)
+    rt.durable_line.save(path)
+    os.kill(os.getpid(), signal.SIGKILL)  # die without any cleanup
+    """
+)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs SIGKILL")
+def test_sigkill_after_save_resumes_bitwise_identically(tmp_path, T):
+    """A process SIGKILLed right after persisting its recovery line
+    leaves a frame that resumes bit-for-bit like an in-process crash."""
+    halt = 0.55 * T
+    line = tmp_path / "killed.line"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (env.get("PYTHONPATH"), *sys.path) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIGKILL_CHILD, repr(T), repr(halt), str(line)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert line.exists()
+
+    rb = CheckpointRuntime(
+        make_app(),
+        scheme=schemes(T)["coord_nb"](),
+        machine=MACHINE,
+        seed=SEED,
+        fault_model=FaultModel.machine_crash(halt),
+    ).run()
+    rc = CheckpointRuntime.restart_from(DurableLine.load(line)).run()
+    assert _dumps(rc) == _dumps(rb)
 
 
 # -- damaged frames ----------------------------------------------------------

@@ -82,17 +82,6 @@ def test_parallel_run_against_serial_cache_is_identical(tmp_path, capsys):
     assert serial == parallel
 
 
-def test_two_tier_queue_output_matches_heap_only(monkeypatch, capsys):
-    """The kernel's fast lane must not change a single output byte:
-    the same grid run under ``REPRO_KERNEL_HEAP_ONLY=1`` (legacy
-    heap-only scheduling) renders byte-identical tables."""
-    base = ["table1", "--quick", "--no-cache", "--jobs", "1"]
-    fast = _run(base, capsys)
-    monkeypatch.setenv("REPRO_KERNEL_HEAP_ONLY", "1")
-    heap_only = _run(base, capsys)
-    assert fast == heap_only
-
-
 def test_profile_writes_hotspot_tables_without_touching_stdout(
     tmp_path, capsys
 ):

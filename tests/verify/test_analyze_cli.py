@@ -45,6 +45,13 @@ def test_analyze_new_findings_exit_code(tmp_path, capsys):
     assert "[verify] analyze: FAIL" in captured.err
 
 
+def test_hygiene_finding_exits_with_the_analyze_code(tmp_path, capsys):
+    p = tmp_path / "clocky.py"
+    p.write_text("import time\nt = time.time()\n")
+    assert main(["analyze", "--paths", str(p)]) == LAYER_CODES["analyze"]
+    assert "[wall-clock]" in capsys.readouterr().out
+
+
 def test_analyze_matching_baseline_passes(tmp_path):
     p = _buggy_file(tmp_path)
     keys = [f.key for f in analyze(paths=[p]).findings]
@@ -79,6 +86,6 @@ def test_analyze_update_baseline_roundtrip(tmp_path, capsys):
 
 
 def test_layer_codes_are_distinct_and_documented():
-    assert LAYER_CODES == {"lint": 2, "model": 3, "smoke": 4, "trace": 4, "analyze": 5}
+    assert LAYER_CODES == {"model": 3, "smoke": 4, "trace": 4, "analyze": 5}
     assert STALE_BASELINE_CODE == 6
     assert STALE_BASELINE_CODE not in LAYER_CODES.values()

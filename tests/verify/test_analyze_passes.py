@@ -9,9 +9,9 @@ import textwrap
 
 from repro.verify.analyze import analyze
 from repro.verify.analyze.frontend import Module, Project
-from repro.verify.analyze.passes.backend_purity import backend_purity_pass
 from repro.verify.analyze.passes.capture import capture_pass
 from repro.verify.analyze.passes.cleanup_mutation import cleanup_mutation_pass
+from repro.verify.analyze.passes.kernel_purity import kernel_purity_pass
 from repro.verify.analyze.passes.nondet_taint import nondet_taint_pass
 from repro.verify.analyze.passes.trace_conformance import trace_conformance_pass
 from repro.verify.analyze.passes.yield_discipline import yield_discipline_pass
@@ -435,12 +435,12 @@ def test_len_of_set_is_clean():
     assert nondet_taint_pass(project) == []
 
 
-# -- backend-purity: kernel layer stays deterministic and layered -------------
+# -- kernel-purity: kernel layer stays deterministic and layered --------------
 
 _CORE = "src/repro/core/fastengine.py"
 
 
-def test_backend_upward_import_flagged():
+def test_kernel_upward_import_flagged():
     project = _project(
         """
         from repro.chklib.runtime import CheckpointRuntime
@@ -448,12 +448,12 @@ def test_backend_upward_import_flagged():
         """,
         path=_CORE,
     )
-    findings = backend_purity_pass(project)
-    assert _rules(findings) == ["backend-purity", "backend-purity"]
+    findings = kernel_purity_pass(project)
+    assert _rules(findings) == ["kernel-purity", "kernel-purity"]
     assert "reach up" in findings[0].message
 
 
-def test_backend_relative_upward_import_flagged():
+def test_kernel_relative_upward_import_flagged():
     # ``from ..chklib import runtime`` carries module="chklib" level=2
     project = _project(
         """
@@ -461,11 +461,11 @@ def test_backend_relative_upward_import_flagged():
         """,
         path=_CORE,
     )
-    findings = backend_purity_pass(project)
-    assert _rules(findings) == ["backend-purity"]
+    findings = kernel_purity_pass(project)
+    assert _rules(findings) == ["kernel-purity"]
 
 
-def test_backend_wall_clock_flagged_despite_pragma():
+def test_kernel_wall_clock_flagged_despite_pragma():
     # the one pass pragma waivers must never reach: nondeterminism
     # cannot be laundered into the kernel with a comment
     project = _project(
@@ -474,16 +474,16 @@ def test_backend_wall_clock_flagged_despite_pragma():
 
         class FastEngine:
             def run(self):
-                self._t0 = time.perf_counter()  # verify: allow[backend-purity]
+                self._t0 = time.perf_counter()  # verify: allow[kernel-purity]
         """,
         path=_CORE,
     )
-    findings = backend_purity_pass(project)
-    assert _rules(findings) == ["backend-purity"]
+    findings = kernel_purity_pass(project)
+    assert _rules(findings) == ["kernel-purity"]
     assert "wall-clock" in findings[0].message
 
 
-def test_backend_from_time_import_flagged():
+def test_kernel_from_time_import_flagged():
     project = _project(
         """
         from time import perf_counter
@@ -493,12 +493,12 @@ def test_backend_from_time_import_flagged():
         """,
         path=_CORE,
     )
-    findings = backend_purity_pass(project)
+    findings = kernel_purity_pass(project)
     # once for the import, once for the call
-    assert _rules(findings) == ["backend-purity", "backend-purity"]
+    assert _rules(findings) == ["kernel-purity", "kernel-purity"]
 
 
-def test_backend_global_rng_flagged():
+def test_kernel_global_rng_flagged():
     project = _project(
         """
         import random
@@ -508,12 +508,12 @@ def test_backend_global_rng_flagged():
         """,
         path=_CORE,
     )
-    findings = backend_purity_pass(project)
-    assert _rules(findings) == ["backend-purity"]
+    findings = kernel_purity_pass(project)
+    assert _rules(findings) == ["kernel-purity"]
     assert "global RNG" in findings[0].message
 
 
-def test_backend_numpy_global_rng_flagged_seeded_ctor_clean():
+def test_kernel_numpy_global_rng_flagged_seeded_ctor_clean():
     project = _project(
         """
         import numpy as np
@@ -526,12 +526,12 @@ def test_backend_numpy_global_rng_flagged_seeded_ctor_clean():
         """,
         path=_CORE,
     )
-    findings = backend_purity_pass(project)
-    assert _rules(findings) == ["backend-purity"]
+    findings = kernel_purity_pass(project)
+    assert _rules(findings) == ["kernel-purity"]
     assert "np.random.random" in findings[0].message
 
 
-def test_backend_unseeded_default_rng_flagged():
+def test_kernel_unseeded_default_rng_flagged():
     # default_rng() with no seed is OS entropy — still forbidden
     project = _project(
         """
@@ -542,10 +542,10 @@ def test_backend_unseeded_default_rng_flagged():
         """,
         path=_CORE,
     )
-    assert _rules(backend_purity_pass(project)) == ["backend-purity"]
+    assert _rules(kernel_purity_pass(project)) == ["kernel-purity"]
 
 
-def test_backend_purity_ignores_non_core_modules():
+def test_kernel_purity_ignores_non_core_modules():
     # the same sins outside repro/core/ belong to other passes
     project = _project(
         """
@@ -557,10 +557,10 @@ def test_backend_purity_ignores_non_core_modules():
         """,
         path="src/repro/experiments/harness.py",
     )
-    assert backend_purity_pass(project) == []
+    assert kernel_purity_pass(project) == []
 
 
-def test_backend_clean_module_clean():
+def test_kernel_clean_module_clean():
     project = _project(
         """
         import heapq
@@ -572,7 +572,7 @@ def test_backend_clean_module_clean():
         """,
         path=_CORE,
     )
-    assert backend_purity_pass(project) == []
+    assert kernel_purity_pass(project) == []
 
 
 # -- end-to-end: analyze() over a seeded-bug subset ---------------------------

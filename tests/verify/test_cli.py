@@ -3,12 +3,6 @@
 from repro.verify.__main__ import main
 
 
-def test_cli_lint_passes_on_the_tree(capsys):
-    assert main(["lint"]) == 0
-    out = capsys.readouterr().out
-    assert "0 issue(s)" in out
-
-
 def test_cli_model_small(capsys):
     assert main(["model", "--ranks", "2"]) == 0
     out = capsys.readouterr().out

@@ -1,11 +1,20 @@
-"""Tests for the sim-hygiene AST lint."""
+"""The analyzer's sim-hygiene rules, one module at a time.
 
-from repro.verify import lint_paths, lint_source
-from repro.verify.lint import default_target
+Each case feeds a source snippet to
+``module_hygiene(Module.from_source(...))``; the whole-tree case runs the
+same pass over every module ``python -m repro.verify analyze`` reads.
+"""
+
+from repro.verify.analyze.frontend import Module, default_target, iter_python_files
+from repro.verify.analyze.passes.hygiene import module_hygiene
+
+
+def _hygiene(source):
+    return module_hygiene(Module.from_source(source))
 
 
 def _rules(source):
-    return [i.rule for i in lint_source(source)]
+    return [f.rule for f in _hygiene(source)]
 
 
 # -- wall clock ---------------------------------------------------------------
@@ -84,9 +93,9 @@ def test_uuid_flagged():
 
 
 def test_unseeded_random_instance_flagged():
-    issues = lint_source("import random\nrng = random.Random()\n")
-    assert [i.rule for i in issues] == ["nondeterminism"]
-    assert "without an explicit seed" in issues[0].message
+    findings = _hygiene("import random\nrng = random.Random()\n")
+    assert [f.rule for f in findings] == ["nondeterminism"]
+    assert "without an explicit seed" in findings[0].message
 
 
 def test_seeded_random_instance_still_global_rng():
@@ -151,6 +160,11 @@ def test_allow_pragma_blanket():
     assert _rules(src) == []
 
 
+def test_allow_pragma_rule_list():
+    src = "import time\nt = time.time()  # verify: allow[bare-assert, wall-clock]\n"
+    assert _rules(src) == []
+
+
 def test_allow_pragma_wrong_rule_does_not_waive():
     src = "import time\nt = time.time()  # verify: allow[bare-assert]\n"
     assert _rules(src) == ["wall-clock"]
@@ -160,17 +174,21 @@ def test_allow_pragma_wrong_rule_does_not_waive():
 
 
 def test_syntax_error_is_a_finding_not_a_crash():
-    issues = lint_source("def broken(:\n")
-    assert [i.rule for i in issues] == ["syntax"]
+    assert _rules("def broken(:\n") == ["syntax"]
 
 
 def test_repro_package_is_clean():
-    """The enforcement satellite: the shipped simulator passes its own lint."""
-    issues = lint_paths()
-    assert issues == [], "\n".join(str(i) for i in issues)
+    """The shipped simulator passes its own hygiene rules."""
+    findings = [
+        f
+        for path in iter_python_files()
+        for f in module_hygiene(Module.from_file(path))
+    ]
+    assert findings == [], "\n".join(str(f) for f in findings)
 
 
 def test_default_target_is_the_repro_package():
     target = default_target()
     assert target.name == "repro"
     assert (target / "core").is_dir()
+    assert target / "core" / "engine.py" in iter_python_files()
