@@ -17,6 +17,7 @@ re-execution agree exactly.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Any, Dict, Generator, List, Tuple
 
@@ -61,6 +62,14 @@ def _init_spins(rank: int, lo: int, hi: int, n: int, seed: int) -> np.ndarray:
     return block
 
 
+@functools.lru_cache(maxsize=64)
+def _checkerboard(m: int, n: int, parity: int) -> np.ndarray:
+    """Read-only ``(m, n)`` mask of the sites with ``(i + j) % 2 == parity``."""
+    mask = (np.arange(m)[:, None] + np.arange(n)[None, :]) % 2 == parity
+    mask.setflags(write=False)
+    return mask
+
+
 def _sweep_colour(
     block: np.ndarray,
     jh_rows: np.ndarray,
@@ -91,14 +100,12 @@ def _sweep_colour(
     j_left = np.roll(jh_rows, 1, axis=1)  # bond to column j-1
     field = j_up * up + j_down * down + j_left * left + j_right * right
     d_e = 2.0 * interior * field  # energy cost of flipping
-    gi = (row_offset + np.arange(m))[:, None]
-    gj = np.arange(n)[None, :]
-    mask = (gi + gj) % 2 == colour
+    mask = _checkerboard(m, n, (row_offset + colour) % 2)
     # one uniform draw per lattice site (fixed count -> deterministic
     # stream consumption independent of acceptance)
     u = rng.random(size=interior.shape)
     flip = mask & (u < np.exp(-beta * np.maximum(d_e, 0.0)))
-    interior[flip] = -interior[flip]
+    np.negative(interior, out=interior, where=flip)
 
 
 class Ising(Application):

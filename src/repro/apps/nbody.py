@@ -45,13 +45,21 @@ def _init_block(rank: int, count: int, seed: int) -> Tuple[np.ndarray, ...]:
 def _block_forces(
     tpos: np.ndarray, spos: np.ndarray, smass: np.ndarray
 ) -> np.ndarray:
-    """Softened gravitational force of source block on target block."""
+    """Softened gravitational force of source block on target block.
+
+    Bit-identical to ``(dr * w[:, :, None]).sum(axis=1)`` over a
+    ``(t, s, 3)`` ``dr``: ``r2`` adds the squared components left to
+    right, and the source axis is reduced as a middle axis, which numpy
+    walks sequentially over ``s`` (a last-axis sum would be pairwise and
+    round differently).
+    """
     if tpos.size == 0 or spos.size == 0:
         return np.zeros_like(tpos)
-    dr = spos[None, :, :] - tpos[:, None, :]  # (t, s, 3)
-    r2 = (dr * dr).sum(axis=2) + _EPS2
-    inv_r3 = r2 ** -1.5
-    return _G * (dr * (smass[None, :] * inv_r3)[:, :, None]).sum(axis=1)
+    dr = spos.T[:, :, None] - tpos.T[:, None, :]  # (3, s, t)
+    x, y, z = dr
+    r2 = x * x + y * y + z * z + _EPS2
+    w = smass[:, None] * r2 ** -1.5  # (s, t)
+    return (_G * (dr * w).sum(axis=1)).T
 
 
 class NBody(Application):

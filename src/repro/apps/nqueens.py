@@ -5,10 +5,14 @@ over the ranks; each task is counted by a bitmask depth-first search. Like
 TSP, this is the loosely-coupled regime: ranks only talk at the final
 sum-reduction.
 
-The per-task DFS is memoised process-wide (the same board is re-counted
-across schemes, runs and post-crash replays); simulated time is charged
-from the explored-node count, so memoisation never distorts the measured
-overheads.
+:func:`_count_from` memoises one entry per task, process-wide: every scheme,
+run and post-crash replay of the same board asks for the same tasks, and
+only the first request searches. That is safe because a task's
+``(solutions, nodes)`` is a pure function of the task, and simulated time
+is charged from ``nodes`` whether the entry was searched or recalled, so
+memoisation never changes a result or a measured overhead. The search
+below a task, :func:`_dfs`, is not cached: its sub-calls are nearly all
+distinct and would only evict the task entries.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from .base import Application
 __all__ = ["NQueens"]
 
 
-@functools.lru_cache(maxsize=4096)
-def _count_from(n: int, cols: int, diag1: int, diag2: int, row: int) -> Tuple[int, int]:
+def _dfs(n: int, cols: int, diag1: int, diag2: int, row: int) -> Tuple[int, int]:
     """Solutions and explored nodes below a partial placement (bitmasks)."""
     if row == n:
         return 1, 1
@@ -35,12 +38,19 @@ def _count_from(n: int, cols: int, diag1: int, diag2: int, row: int) -> Tuple[in
     while free:
         bit = free & -free
         free ^= bit
-        s, m = _count_from(
+        s, m = _dfs(
             n, cols | bit, ((diag1 | bit) << 1) & full, (diag2 | bit) >> 1, row + 1
         )
         solutions += s
         nodes += m
     return solutions, nodes
+
+
+# one entry per task: room for every task of several boards (n=12 has 110)
+@functools.lru_cache(maxsize=1024)
+def _count_from(n: int, cols: int, diag1: int, diag2: int, row: int) -> Tuple[int, int]:
+    """:func:`_dfs` of one task, memoised process-wide."""
+    return _dfs(n, cols, diag1, diag2, row)
 
 
 class NQueens(Application):

@@ -406,7 +406,7 @@ class CoordinatedScheme(Scheme):
             and msg.epoch < rnd.n
             and msg.src in rnd.markers_pending
         ):
-            rnd.record.channel_msgs.append(_shell_copy(msg))
+            agent.runtime.store.record_channel_msg(rnd.record, _shell_copy(msg))
             agent.runtime.tracer.add("chk.channel_msgs_recorded")
 
     def on_control(self, agent: CoordinatedAgent, msg: Message) -> None:

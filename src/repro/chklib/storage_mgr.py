@@ -31,7 +31,8 @@ class CheckpointRecord:
     comm_meta: dict  #: sent/consumed counts + collective counter at the cut
     taken_at: float  #: simulated time of the cut
     #: in-transit messages recorded into this checkpoint (coordinated
-    #: protocols record them between the cut and the markers).
+    #: protocols record them between the cut and the markers). Once the
+    #: record is stored, append through ``CheckpointStore.record_channel_msg``.
     channel_msgs: List[Message] = field(default_factory=list)
     #: sender-log messages flushed together with this checkpoint
     #: (independent checkpointing with message logging).
@@ -120,6 +121,10 @@ class CheckpointStore:
         self._chains: Dict[int, Dict[int, CheckpointRecord]] = {
             r: {} for r in range(n_ranks)
         }
+        # running occupancy, kept by every method that adds or removes
+        # stored bytes (a full rescan would cost O(records) per add)
+        self._bytes = 0
+        self._records = 0
         # metrics
         self.peak_bytes = 0
         self.peak_checkpoints = 0
@@ -138,7 +143,18 @@ class CheckpointStore:
         if record.index < 1:
             raise ValueError(f"checkpoint indices are 1-based, got {record.index}")
         chain[record.index] = record
-        self._update_peaks()
+        self._bytes += record.total_bytes
+        self._records += 1
+        self.peak_bytes = max(self.peak_bytes, self._bytes)
+        self.peak_checkpoints = max(self.peak_checkpoints, self._records)
+
+    def record_channel_msg(self, record: CheckpointRecord, msg: Message) -> None:
+        """Append an in-transit message to *record*'s channel state, which
+        may happen after the record was added (a marker can arrive after
+        the state write finished)."""
+        record.channel_msgs.append(msg)
+        if self._chains[record.rank].get(record.index) is record:
+            self._bytes += msg.size
 
     def commit(self, rank: int, index: int) -> None:
         """Mark a checkpoint stable (keeps it eligible for recovery)."""
@@ -195,11 +211,11 @@ class CheckpointStore:
         return best
 
     def count(self, rank: Optional[int] = None, committed_only: bool = False) -> int:
+        if not committed_only:
+            return self._records if rank is None else len(self._chains[rank])
         chains = (
             (self._chains[rank],) if rank is not None else self._chains.values()
         )
-        if not committed_only:
-            return sum(len(chain) for chain in chains)
         total = 0
         for chain in chains:
             for rec in chain.values():
@@ -208,29 +224,20 @@ class CheckpointStore:
         return total
 
     def total_bytes(self) -> int:
-        # Hot: sampled after every add() for the peak metric. Open-coded
-        # sum of CheckpointRecord.total_bytes without the property calls.
-        total = 0
-        for chain in self._chains.values():
-            for rec in chain.values():
-                state = rec.stored_state_bytes
-                if state is None:
-                    state = rec.snapshot.nbytes + rec.pad_bytes
-                total += state
-                for m in rec.channel_msgs:
-                    total += m.size
-                for m in rec.log_annex:
-                    total += m.size
-        return total
+        """Stable-storage occupancy of every record held."""
+        return self._bytes
 
     # -- deletion ------------------------------------------------------------------
 
     def discard(self, rank: int, index: int) -> int:
         """Remove one checkpoint; returns the bytes freed."""
         rec = self._chains[rank].pop(index)
-        self.discarded_bytes += rec.total_bytes
+        freed = rec.total_bytes
+        self._bytes -= freed
+        self._records -= 1
+        self.discarded_bytes += freed
         self.discarded_count += 1
-        return rec.total_bytes
+        return freed
 
     def discard_older_than(self, rank: int, index: int) -> int:
         """Remove all of *rank*'s checkpoints strictly older than *index*."""
@@ -286,12 +293,6 @@ class CheckpointStore:
                 if msg.dst == dst and msg.seq == seq:
                     return msg
         return None
-
-    # -- internals ---------------------------------------------------------------
-
-    def _update_peaks(self) -> None:
-        self.peak_bytes = max(self.peak_bytes, self.total_bytes())
-        self.peak_checkpoints = max(self.peak_checkpoints, self.count())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

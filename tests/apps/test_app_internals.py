@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.apps.asp import _INF, _make_graph, _owner_of
 from repro.apps.asp import _partition as asp_partition
 from repro.apps.gauss import _back_substitute, _make_system
 from repro.apps.ising import _couplings, _init_spins, _sweep_colour
-from repro.apps.nbody import _block_forces, _init_block
-from repro.apps.nqueens import _count_from
+from repro.apps.nbody import _EPS2, _G, _block_forces, _init_block
+from repro.apps.nqueens import NQueens, _count_from, _dfs
 from repro.apps.sor import _boundary_value, _init_block as sor_block, _partition, _sweep
 from repro.apps.tsp import _greedy_bound, _make_map, _solve_task
 
@@ -133,6 +136,52 @@ class TestIsingKernel:
         assert energy(block) <= e_before + 1e-9
 
 
+def _sweep_colour_oracle(block, jh_rows, jv_rows, row_offset, colour, beta, rng):
+    """The checkerboard sweep as first written: mask rebuilt per call,
+    flips by two fancy-index passes."""
+    m, n = block.shape[0] - 2, block.shape[1]
+    if m <= 0:
+        return
+    interior = block[1:-1]
+    left = np.roll(interior, 1, axis=1)
+    right = np.roll(interior, -1, axis=1)
+    j_left = np.roll(jh_rows, 1, axis=1)
+    field = jv_rows[:-1] * block[0:-2] + jv_rows[1:] * block[2:] + j_left * left + jh_rows * right
+    d_e = 2.0 * interior * field
+    mask = ((row_offset + np.arange(m))[:, None] + np.arange(n)[None, :]) % 2 == colour
+    u = rng.random(size=interior.shape)
+    flip = mask & (u < np.exp(-beta * np.maximum(d_e, 0.0)))
+    interior[flip] = -interior[flip]
+
+
+class TestIsingOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(0, 7),
+        n=st.integers(1, 9),
+        row_offset=st.integers(0, 5),
+        colour=st.sampled_from((0, 1)),
+        beta=st.sampled_from((0.0, 0.3, 0.8, 5.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=1, n=3, row_offset=0, colour=0, beta=0.8, seed=0)
+    @example(m=1, n=3, row_offset=1, colour=1, beta=0.8, seed=0)
+    def test_sweep_bit_identical_to_oracle(self, m, n, row_offset, colour, beta, seed):
+        data = np.random.default_rng(seed)
+        block = data.choice(np.array([-1, 1], dtype=np.int8), size=(m + 2, n))
+        jh = data.normal(size=(m, n))
+        jv = data.normal(size=(m + 1, n))
+        got, want = block.copy(), block.copy()
+        rng_got = np.random.default_rng(seed + 1)
+        rng_want = np.random.default_rng(seed + 1)
+        _sweep_colour(got, jh, jv, row_offset, colour, beta, rng_got)
+        _sweep_colour_oracle(want, jh, jv, row_offset, colour, beta, rng_want)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # the random stream is left at the same position
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
 class TestAspGraph:
     def test_graph_deterministic(self):
         np.testing.assert_array_equal(_make_graph(20, 1, 0.3), _make_graph(20, 1, 0.3))
@@ -185,6 +234,49 @@ class TestNBody:
         assert np.isfinite(f).all()  # softening handles self-pairs
 
 
+def _block_forces_oracle(tpos, spos, smass):
+    """The force kernel as first written, over a ``(t, s, 3)`` array."""
+    if tpos.size == 0 or spos.size == 0:
+        return np.zeros_like(tpos)
+    dr = spos[None, :, :] - tpos[:, None, :]
+    r2 = (dr * dr).sum(axis=2) + _EPS2
+    inv_r3 = r2 ** -1.5
+    return _G * (dr * (smass[None, :] * inv_r3)[:, :, None]).sum(axis=1)
+
+
+def _bodies(max_count):
+    coords = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+    return st.integers(0, max_count).flatmap(
+        lambda k: st.tuples(
+            hnp.arrays(np.float64, (k, 3), elements=coords),
+            hnp.arrays(np.float64, k, elements=st.floats(0.5, 1.5)),
+        )
+    )
+
+
+class TestNBodyOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(target=_bodies(12), source=_bodies(40))
+    @example(target=(np.zeros((0, 3)), np.zeros(0)), source=(np.ones((2, 3)), np.ones(2)))
+    @example(target=(np.ones((2, 3)), np.ones(2)), source=(np.zeros((0, 3)), np.zeros(0)))
+    @example(target=(np.ones((1, 3)), np.ones(1)), source=(np.ones((1, 3)), np.ones(1)))
+    def test_forces_bit_identical_to_oracle(self, target, source):
+        (tpos, _), (spos, smass) = target, source
+        got = _block_forces(tpos, spos, smass)
+        want = _block_forces_oracle(tpos, spos, smass)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_forces_bit_identical_on_run_sized_blocks(self):
+        """The row-sized blocks nbody-1536 on 8 ranks exchanges."""
+        pos_a, _, _ = _init_block(0, 192, 3)
+        pos_b, _, mass_b = _init_block(1, 192, 3)
+        assert np.array_equal(
+            _block_forces(pos_a, pos_b, mass_b),
+            _block_forces_oracle(pos_a, pos_b, mass_b),
+        )
+
+
 class TestTsp:
     def test_map_symmetric_zero_diagonal(self):
         d = _make_map(10, 4)
@@ -216,3 +308,19 @@ class TestNQueens:
         solutions, nodes = _count_from(n, 0, 0, 0, 0)
         assert solutions == expected
         assert nodes > solutions
+
+    def test_search_is_not_cached(self):
+        assert not hasattr(_dfs, "cache_info")
+        assert not hasattr(_dfs, "__wrapped__")
+
+    def test_memo_holds_every_task_of_the_largest_board(self):
+        assert _count_from.cache_parameters()["maxsize"] >= len(NQueens(12)._tasks())
+
+    def test_repeated_task_is_a_cache_hit(self):
+        task = (9, 0b101, 0b1100, 0b10, 2)  # queens at (0, 0) and (1, 2)
+        first = _count_from(*task)
+        before = _count_from.cache_info()
+        again = _count_from(*task)
+        after = _count_from.cache_info()
+        assert again == first == _dfs(*task)
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
